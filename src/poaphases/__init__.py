@@ -19,6 +19,7 @@ from .equilibrium import (
     active_regime,
     dual_certificate_affine,
     grad_social_optimum,
+    poa_ratio,
     price_of_anarchy,
     social_cost,
     solve_equilibrium,

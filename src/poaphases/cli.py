@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +20,7 @@ from .equilibrium import (
     NonConvexCostError,
     SolverError,
     SolverOptions,
-    price_of_anarchy,
+    poa_ratio,
     solve_equilibrium,
     solve_social_optimum,
 )
@@ -33,15 +31,6 @@ from .sensitivity import SensitivityError
 SWEEP_SCHEMA = "#schema=poa-sweep-v1"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("POA_PHASES_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(8, os.cpu_count() or 1)
-
-
 def _options(args) -> SolverOptions:
     opts = DEFAULT_OPTIONS
     if getattr(args, "tol_gap", None) is not None:
@@ -50,8 +39,6 @@ def _options(args) -> SolverOptions:
         opts = replace(opts, eps_active=args.eps_active)
     if getattr(args, "max_iters", None) is not None:
         opts = replace(opts, active_set_max_iters=args.max_iters)
-    if getattr(args, "fw_iters", None) is not None:
-        opts = replace(opts, fw_max_iters=args.fw_iters)
     return opts
 
 
@@ -88,7 +75,7 @@ def cmd_solve(args) -> int:
         opt = solve_social_optimum(net, coms, mu, opts)
         report["sc_opt"] = opt.sc
         report["opt_loads"] = {e.edge_id: float(v) for e, v in zip(net.edges, opt.x)}
-        report["poa"] = price_of_anarchy(net, coms, mu, opts)
+        report["poa"] = poa_ratio(mu, res.sc, opt.sc)
     except NonConvexCostError as exc:
         report["sc_opt"] = None
         report["poa"] = None
@@ -103,7 +90,7 @@ def _sweep_row(net, coms, demand, opts, t):
     try:
         opt = solve_social_optimum(net, coms, mu, opts)
         sc_opt = opt.sc
-        poa = 1.0 if not np.any(mu > 0) else res.sc / sc_opt
+        poa = poa_ratio(mu, res.sc, sc_opt)
     except NonConvexCostError:
         sc_opt, poa = float("nan"), float("nan")
     members = sorted(res.regime)
@@ -126,8 +113,7 @@ def cmd_sweep(args) -> int:
     net, coms, demand = _load(args)
     opts = _options(args)
     grid = np.linspace(args.t0, args.t1, args.n)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(lambda t: _sweep_row(net, coms, demand, opts, float(t)), grid))
+    rows = [_sweep_row(net, coms, demand, opts, float(t)) for t in grid]
     od_ids = [c.od_id for c in coms]
     if args.format == "json":
         _emit(json.dumps({"od_ids": od_ids, "rows": rows}, indent=2) + "\n", args.out)
@@ -154,13 +140,10 @@ def cmd_breakpoints(args) -> int:
         net, coms, demand, (args.t0, args.t1), args.grid, args.tol_t, opts
     )
     od_ids = [c.od_id for c in coms]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        reports = list(pool.map(
-            lambda t: sensitivity.classify_breakpoint(
-                net, coms, demand, t, args.eps_probe, opts
-            ),
-            points,
-        ))
+    reports = [
+        sensitivity.classify_breakpoint(net, coms, demand, t, args.eps_probe, opts)
+        for t in points
+    ]
     payload = [rep.to_json_dict(od_ids) for rep in reports]
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -217,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-gap", type=float, default=None)
         p.add_argument("--eps-active", type=float, default=None)
         p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--fw-iters", type=int, default=None)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("solve", help="solve one demand point")

@@ -1,10 +1,12 @@
 """Wardrop equilibria, social optima, and the price of anarchy.
 
 The equilibrium solver minimizes the congestion potential (sum over edges of
-the cost primitive) over feasible path flows in two phases: a Frank-Wolfe
-warm start that pins down the support, then an active-set refinement that
-solves the support's stationarity system exactly by Newton.  The refined
-edge costs are accurate enough for derivative work downstream.
+the cost primitive) over feasible path flows by an active-set method.  It
+starts from the all-or-nothing support at zero load, solves each support's
+stationarity system exactly by Newton, drops paths whose flow turns negative
+and adds the most violated cheaper path until no path outside the support
+is cheaper.  The edge costs are accurate enough for derivative work
+downstream.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .costs import (
     AffineCost,
@@ -38,8 +39,6 @@ class NonConvexCostError(SolverError):
 class SolverOptions:
     tol_gap: float = 1e-9
     eps_active: float = 1e-7
-    fw_tol: float = 1e-4
-    fw_max_iters: int = 10_000
     active_set_max_iters: int = 100
     newton_tol_res: float = 1e-12
     newton_tol_step: float = 1e-9
@@ -61,10 +60,10 @@ class EquilibriumResult:
     gap: float
     regime: tuple  # active path ids at eps_active
     sc: float  # total cost sum_e x_e tau_e
-    fw_iters: int
     active_set_iters: int
     path_ids: tuple = ()
     path_od: tuple = ()  # per-path OD index
+    fw_iters: int = 0  # retired warm-start counter, always 0; kept for existing readers
 
     def flow_load(self) -> FlowLoad:
         return FlowLoad(f=self.f.copy(), x=self.x.copy())
@@ -78,13 +77,6 @@ def _all_or_nothing(inc, path_costs, mu):
         best = own[np.argmin(path_costs[own])]
         f[best] = mu[h]
     return f
-
-
-def _relative_gap(inc, path_costs, f, mu):
-    lam = np.array([np.min(path_costs[np.flatnonzero(inc.s[h])]) for h in range(inc.n_ods)])
-    total = float(f @ path_costs)
-    bound = float(mu @ lam)
-    return total - bound, lam, bound
 
 
 def solve_equilibrium(net: Network, commodities, mu,
@@ -101,37 +93,12 @@ def solve_equilibrium(net: Network, commodities, mu,
     pc0 = inc.delta.T @ c0
     if not np.any(mu > 0):
         lam = np.array([np.min(pc0[np.flatnonzero(inc.s[h])]) for h in range(inc.n_ods)])
-        return _assemble(inc, table, np.zeros(inc.n_paths), lam, opts, 0, 0)
+        return _assemble(inc, table, np.zeros(inc.n_paths), lam, opts, 0)
 
-    # Phase 1: Frank-Wolfe from an empty-network all-or-nothing start.
+    # Start from the all-or-nothing flow at zero load; the first support adds
+    # each OD's cheapest path under that flow's loads.
     f = _all_or_nothing(inc, pc0, mu)
-    fw_iters = 0
     lam = np.zeros(inc.n_ods)
-    for fw_iters in range(1, opts.fw_max_iters + 1):
-        x = inc.delta @ f
-        c = table.values(x)
-        pc = inc.delta.T @ c
-        gap, lam, bound = _relative_gap(inc, pc, f, mu)
-        if gap <= opts.fw_tol * (1.0 + abs(bound)):
-            break
-        target = _all_or_nothing(inc, pc, mu)
-        d = target - f
-        dx = inc.delta @ d
-
-        def slope(alpha):
-            return float(table.values(x + alpha * dx) @ dx)
-
-        if slope(1.0) <= 0:
-            alpha = 1.0
-        elif slope(0.0) >= 0:
-            alpha = 0.0
-        else:
-            alpha = brentq(slope, 0.0, 1.0, xtol=1e-14)
-        if alpha <= 0:
-            break
-        f = f + alpha * d
-
-    # Phase 2: active-set refinement on the support.
     x = inc.delta @ f
     pc = inc.delta.T @ table.values(x)
     support = set()
@@ -149,7 +116,7 @@ def solve_equilibrium(net: Network, commodities, mu,
         delta_r = inc.delta[:, idx]
         s_r = inc.s[:, idx]
         f0 = f[idx]
-        # Rebalance the warm start onto the demand constraint.
+        # Rebalance the current flows onto the demand constraint.
         for h in range(inc.n_ods):
             own = np.flatnonzero(s_r[h])
             tot = f0[own].sum()
@@ -205,10 +172,10 @@ def solve_equilibrium(net: Network, commodities, mu,
 
     f_full = np.zeros(inc.n_paths)
     f_full[np.asarray(active, dtype=int)] = np.maximum(f_r, 0.0)
-    return _assemble(inc, table, f_full, lam, opts, fw_iters, as_iters)
+    return _assemble(inc, table, f_full, lam, opts, as_iters)
 
 
-def _assemble(inc, table, f, lam, opts, fw_iters, as_iters) -> EquilibriumResult:
+def _assemble(inc, table, f, lam, opts, as_iters) -> EquilibriumResult:
     mu = inc.s @ f
     x = inc.delta @ f
     # Prefer the minimal-norm decomposition when it stays nonnegative, so the
@@ -239,7 +206,7 @@ def _assemble(inc, table, f, lam, opts, fw_iters, as_iters) -> EquilibriumResult
         x=x, tau=tau, path_costs=pc, lam=lam, f=f,
         potential=float(table.potential(np.maximum(x, 0.0))),
         gap=gap, regime=regime, sc=sc_dual,
-        fw_iters=fw_iters, active_set_iters=as_iters,
+        active_set_iters=as_iters,
         path_ids=inc.path_ids,
         path_od=tuple(inc.od_of_path(j) for j in range(inc.n_paths)),
     )
@@ -320,18 +287,25 @@ def grad_social_optimum(net, commodities, mu,
     return solve_social_optimum(net, commodities, mu, opts).lam
 
 
+def poa_ratio(mu, sc_eq: float, sc_opt: float) -> float:
+    """Equilibrium over optimal social cost.
+
+    At zero demand, or when the optimal total vanishes (all costs free at the
+    optimal loads), the ratio is taken as its limiting value 1.
+    """
+    if sc_opt == 0.0 or not np.any(np.asarray(mu) > 0):
+        return 1.0
+    return sc_eq / sc_opt
+
+
 def price_of_anarchy(net, commodities, mu,
                      opts: SolverOptions = DEFAULT_OPTIONS) -> float:
     mu = np.asarray(mu, dtype=float)
     if not np.any(mu > 0):
-        return 1.0
+        return 1.0  # no traffic: skip both solves, poa_ratio would give 1
     eq = solve_equilibrium(net, commodities, mu, opts)
     opt = solve_social_optimum(net, commodities, mu, opts)
-    if opt.sc == 0.0:
-        # Both totals vanish (demand negligible or all costs free at the
-        # equilibrium loads); the ratio is taken as its limiting value.
-        return 1.0
-    return eq.sc / opt.sc
+    return poa_ratio(mu, eq.sc, opt.sc)
 
 
 def dual_certificate_affine(net, commodities, mu, res: EquilibriumResult) -> float:

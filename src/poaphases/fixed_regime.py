@@ -90,7 +90,11 @@ def _newton_kkt(table, delta_r, s_r, rhs, f0, lam0, offset, *,
                 accepted = True
                 break
             alpha *= 0.5
-        step_norm = alpha * np.max(np.abs(step), initial=0.0)
+        # Measure the step on the loads and multipliers only: on a singular
+        # regime the flows are not unique and a null-space step moves them
+        # without changing anything the solution is judged by.
+        step_norm = alpha * max(np.max(np.abs(delta_r @ step[:k]), initial=0.0),
+                                np.max(np.abs(step[k:]), initial=0.0))
         if res_norm <= tol_res and step_norm <= tol_step:
             converged = True
             break

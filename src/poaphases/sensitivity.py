@@ -21,7 +21,6 @@ from .equilibrium import (
     NonConvexCostError,
     SolverError,
     SolverOptions,
-    grad_social_optimum,
     solve_equilibrium,
     solve_social_optimum,
 )
@@ -149,9 +148,9 @@ def one_sided_derivatives(net, commodities, curve, t_bar, side,
         notes.append("heuristic: zero-slope-at-origin costs lack smoothness guarantees")
     try:
         opt = solve_social_optimum(net, commodities, mu_bar, opts)
-        lam_tilde = grad_social_optimum(net, commodities, mu_bar, opts)
         sc_opt = opt.sc
-        sc_opt_prime = float(rates @ lam_tilde)
+        # The optimum's multipliers are the gradient of the optimal social cost.
+        sc_opt_prime = float(rates @ opt.lam)
         poa_prime = (sc_prime * sc_opt - res.sc * sc_opt_prime) / sc_opt**2 if sc_opt > 0 else None
     except NonConvexCostError as exc:
         sc_opt = sc_opt_prime = poa_prime = None

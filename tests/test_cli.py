@@ -134,3 +134,20 @@ def test_probe_mismatch_exit_2(tmp_path, capsys):
 def test_usage_error_exit_1(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_all_zero_costs_poa_is_one(tmp_path, capsys):
+    # Every cost is 0, so both totals vanish and the ratio takes its limit 1.
+    inst = tmp_path / "pigou.json"
+    assert main(["examples", "pigou", "--out", str(inst)]) == 0
+    doc = json.loads(inst.read_text())
+    for edge in doc["edges"]:
+        edge["cost"] = {"type": "affine", "a": 0.0, "b": 0.0}
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["sweep", str(inst), "--t0", "0", "--t1", "2", "--n", "3",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["poa"] for row in rows] == [1.0, 1.0, 1.0]
+    assert main(["solve", str(inst), "--t", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["poa"] == 1.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poaphases import corpus
+from poaphases import corpus, instance_io
 from poaphases.costs import AffineCost
 from poaphases.equilibrium import solve_equilibrium
 from poaphases.fixed_regime import (
@@ -11,7 +11,7 @@ from poaphases.fixed_regime import (
     solve_fixed_regime,
     zero_derivative_acyclicity,
 )
-from poaphases.model import Commodity, Edge, ModelError, Network, Path
+from poaphases.model import Commodity, Edge, ModelError, Network, Path, build_incidence
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +166,51 @@ def test_zero_derivative_acyclicity():
     # Constant edges e2, e3, e4 form a tree, not a cycle.
     ok, _ = zero_derivative_acyclicity(fig1, np.zeros(7))
     assert ok
+
+
+# A 3x4 directed grid (edges right and down) with random affine costs and two
+# OD pairs over overlapping 2x2 blocks: 12 paths but a path-to-(load, demand)
+# map of rank 8, so the restricted Jacobian on all paths is singular.
+RANK_DEFICIENT_EDGES = [
+    ("h0_0", "r0c0", "r0c1", 1.4490795451832557, 1.9243746626346918),
+    ("v0_0", "r0c0", "r1c0", 0.4315596037717452, 0.341124150393988),
+    ("h0_1", "r0c1", "r0c2", 1.3760219384022572, 2.560371317895482),
+    ("v0_1", "r0c1", "r1c1", 0.5632024419927313, 0.654055911257208),
+    ("h0_2", "r0c2", "r0c3", 1.489852344662449, 1.4120990120078254),
+    ("v0_2", "r0c2", "r1c2", 0.9473994751532806, 1.0474434141528586),
+    ("v0_3", "r0c3", "r1c3", 0.31493675565864565, 1.3639984977346744),
+    ("h1_0", "r1c0", "r1c1", 0.7426159032794195, 1.1672302598718054),
+    ("v1_0", "r1c0", "r2c0", 1.1725360748000622, 2.0507690762166537),
+    ("h1_1", "r1c1", "r1c2", 1.3245542789208127, 2.2281133616657156),
+    ("v1_1", "r1c1", "r2c1", 0.23279124040174412, 1.9627714491963717),
+    ("h1_2", "r1c2", "r1c3", 1.1757125877598373, 2.5540230392585648),
+    ("v1_2", "r1c2", "r2c2", 1.8902526426128334, 0.038469355412522166),
+    ("v1_3", "r1c3", "r2c3", 1.69099093638171, 0.7599716720481613),
+    ("h2_0", "r2c0", "r2c1", 1.324474381402284, 2.2932550805547702),
+    ("h2_1", "r2c1", "r2c2", 1.724593203236802, 2.821808750682109),
+    ("h2_2", "r2c2", "r2c3", 1.3424698052632928, 2.577625613958242),
+]
+
+
+def test_rank_deficient_regime_converges():
+    doc = {
+        "vertices": [f"r{i}c{j}" for i in range(3) for j in range(4)],
+        "edges": [{"id": eid, "tail": u, "head": v, "cost": {"type": "affine", "a": a, "b": b}}
+                  for eid, u, v, a, b in RANK_DEFICIENT_EDGES],
+        "commodities": [
+            {"id": "od0_0", "origin": "r0c0", "destination": "r2c2", "paths": "auto"},
+            {"id": "od0_1", "origin": "r0c1", "destination": "r2c3", "paths": "auto"},
+        ],
+        "demand": {"type": "linear", "rates": [0.7333608495921111, 0.6600578496163132]},
+    }
+    net, coms, demand = instance_io.instance_from_dict(doc)
+    inc = build_incidence(net, coms)
+    assert np.linalg.matrix_rank(np.vstack([inc.delta, inc.s])) < inc.n_paths
+    mu = demand.mu(1.0)
+    # Null-space Newton steps move the flows but not the loads or the levels;
+    # convergence is judged on the latter.
+    sol = solve_fixed_regime(net, coms, list(inc.path_ids), mu)
+    assert sol.residual <= 1e-12
+    np.testing.assert_allclose(inc.s @ sol.f, mu, atol=1e-12)
+    np.testing.assert_allclose(inc.delta @ sol.f, sol.x, atol=1e-12)
+    np.testing.assert_allclose(inc.delta.T @ sol.eta, inc.s.T @ sol.m, atol=1e-10)
