@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -134,11 +135,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_breakpoints(args) -> int:
+    # locate_breakpoints checks the range, grid and tol_t before any solve;
+    # --eps-probe is only used after the scan, so it is checked here.
+    if args.eps_probe is not None and not (math.isfinite(args.eps_probe) and args.eps_probe > 0):
+        raise ModelError("breakpoints: need a finite --eps-probe > 0")
     net, coms, demand = _load(args)
     opts = _options(args)
-    points = sensitivity.locate_breakpoints(
-        net, coms, demand, (args.t0, args.t1), args.grid, args.tol_t, opts
-    )
+    try:
+        points = sensitivity.locate_breakpoints(
+            net, coms, demand, (args.t0, args.t1), args.grid, args.tol_t, opts
+        )
+    except ValueError as exc:
+        raise ModelError(f"breakpoints: {exc}") from exc
     od_ids = [c.od_id for c in coms]
     reports = [
         sensitivity.classify_breakpoint(net, coms, demand, t, args.eps_probe, opts)

@@ -7,6 +7,11 @@ stationarity system exactly by Newton, drops paths whose flow turns negative
 and adds the most violated cheaper path until no path outside the support
 is cheaper.  The edge costs are accurate enough for derivative work
 downstream.
+
+Every result carries its instance's prepared data (incidence, cost table,
+pseudo-inverse).  Passing a result as ``start`` to the next solve on the
+same instance reuses that data and begins from the result's support, which
+is how the breakpoint scan solves hundreds of nearby demands.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from .costs import (
     marginal,
 )
 from .fixed_regime import _newton_kkt
-from .model import Commodity, Edge, FlowLoad, Network, build_incidence
+from .kernels import CostTable
+from .model import Commodity, Edge, FlowLoad, Incidence, Network, build_incidence
 
 
 class SolverError(RuntimeError):
@@ -49,6 +55,33 @@ class SolverOptions:
 DEFAULT_OPTIONS = SolverOptions()
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """What a solve needs of its instance, built once and shared by warm starts.
+
+    Paths are grouped by OD in incidence order, so each OD's paths are the
+    slice of columns from its ``od_start`` entry to the next one.
+    """
+
+    inc: Incidence
+    od_of_path: np.ndarray  # per-path OD index
+    od_start: np.ndarray  # index of each OD's first path
+    table: CostTable  # the costs the solve levels (marginal costs for an optimum)
+    pinv: np.ndarray  # pinv([delta; s]): (loads, demands) -> minimal-norm flow
+
+
+def _prepare(net: Network, commodities, sigma: float = DEFAULT_EXTENSION_SLOPE) -> Prepared:
+    inc = build_incidence(net, commodities)
+    counts = inc.s.sum(axis=1).astype(int)
+    return Prepared(
+        inc=inc,
+        od_of_path=np.repeat(np.arange(inc.n_ods), counts),
+        od_start=np.cumsum(counts) - counts,
+        table=build_cost_table(net.costs, sigma),
+        pinv=np.linalg.pinv(np.vstack([inc.delta, inc.s])),
+    )
+
+
 @dataclass
 class EquilibriumResult:
     x: np.ndarray  # per-edge loads
@@ -64,50 +97,81 @@ class EquilibriumResult:
     path_ids: tuple = ()
     path_od: tuple = ()  # per-path OD index
     fw_iters: int = 0  # retired warm-start counter, always 0; kept for existing readers
+    prep: Prepared | None = field(default=None, repr=False, compare=False)
 
     def flow_load(self) -> FlowLoad:
         return FlowLoad(f=self.f.copy(), x=self.x.copy())
 
 
-def _all_or_nothing(inc, path_costs, mu):
+def _cheapest(prep: Prepared, pc) -> np.ndarray:
+    """Index of each OD's cheapest path (the lowest index on ties)."""
+    order = np.lexsort((pc, prep.od_of_path))
+    return order[prep.od_start]
+
+
+def _all_or_nothing(prep: Prepared, path_costs, mu):
     """Send each OD's whole demand down its cheapest path (lowest index ties)."""
-    f = np.zeros(inc.n_paths)
-    for h in range(inc.n_ods):
-        own = np.flatnonzero(inc.s[h])
-        best = own[np.argmin(path_costs[own])]
-        f[best] = mu[h]
+    f = np.zeros(prep.inc.n_paths)
+    f[_cheapest(prep, path_costs)] = mu
     return f
 
 
 def solve_equilibrium(net: Network, commodities, mu,
-                      opts: SolverOptions = DEFAULT_OPTIONS) -> EquilibriumResult:
-    inc = build_incidence(net, commodities)
+                      opts: SolverOptions = DEFAULT_OPTIONS,
+                      start: EquilibriumResult | None = None) -> EquilibriumResult:
+    """Wardrop equilibrium at demand ``mu``.
+
+    ``start`` is an earlier result of this function on the same instance
+    with the same options.  The solve then takes the incidence, cost table
+    and pseudo-inverse from it instead of building them from ``net`` and
+    ``commodities``, and its active-set loop begins from the start's
+    support, flows and multipliers instead of from all-or-nothing; if that
+    loop fails, it restarts from all-or-nothing.  The equilibrium is the
+    same; a start near ``mu`` only reaches it in fewer iterations.
+    """
+    prep = _prepare(net, commodities, opts.sigma) if start is None else start.prep
+    inc = prep.inc
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (inc.n_ods,):
         raise SolverError(f"demand has shape {mu.shape}, expected ({inc.n_ods},)")
     if np.any(mu < 0):
         raise SolverError("negative demand")
-    table = build_cost_table(net.costs, opts.sigma)
-
-    c0 = table.values(np.zeros(inc.n_edges))
-    pc0 = inc.delta.T @ c0
     if not np.any(mu > 0):
-        lam = np.array([np.min(pc0[np.flatnonzero(inc.s[h])]) for h in range(inc.n_ods)])
-        return _assemble(inc, table, np.zeros(inc.n_paths), lam, opts, 0)
+        return _assemble(prep, np.zeros(inc.n_paths), opts, 0)
 
-    # Start from the all-or-nothing flow at zero load; the first support adds
-    # each OD's cheapest path under that flow's loads.
-    f = _all_or_nothing(inc, pc0, mu)
-    lam = np.zeros(inc.n_ods)
-    x = inc.delta @ f
-    pc = inc.delta.T @ table.values(x)
-    support = set()
-    for h in range(inc.n_ods):
-        own = np.flatnonzero(inc.s[h])
-        thresh = 1e-8 * (1.0 + mu[h])
-        support.update(int(j) for j in own if f[j] > thresh)
-        support.add(int(own[np.argmin(pc[own])]))
-    active = sorted(support)
+    if start is not None:
+        try:
+            return _active_set(prep, mu, opts, *_warm_support(prep, start))
+        except SolverError:
+            # Newton can stall on a rank-deficient regime from one starting
+            # point and close it from another; the cold start is the reference.
+            pass
+    return _active_set(prep, mu, opts, *_cold_support(prep, mu))
+
+
+def _cold_support(prep: Prepared, mu):
+    """All-or-nothing flow at zero load; the support adds each OD's cheapest
+    path under that flow's loads."""
+    inc, table = prep.inc, prep.table
+    f = _all_or_nothing(prep, inc.delta.T @ table.values(np.zeros(inc.n_edges)), mu)
+    used = f > 1e-8 * (1.0 + mu[prep.od_of_path])
+    used[_cheapest(prep, inc.delta.T @ table.values(inc.delta @ f))] = True
+    return f, np.zeros(inc.n_ods), used
+
+
+def _warm_support(prep: Prepared, start: EquilibriumResult):
+    """The earlier solution's flows, multipliers and used paths; an OD that
+    had no demand there starts from its cheapest path."""
+    used = start.f > 0
+    unserved = np.flatnonzero(prep.inc.s @ used == 0)
+    used[_cheapest(prep, start.path_costs)[unserved]] = True
+    return start.f.copy(), start.lam.copy(), used
+
+
+def _active_set(prep: Prepared, mu, opts, f, lam, used) -> EquilibriumResult:
+    """Newton on the support, drop negative paths, add the most violated one."""
+    inc, table, od = prep.inc, prep.table, prep.od_of_path
+    active = np.flatnonzero(used).tolist()
     just_dropped = None
     as_iters = 0
     f_r = None
@@ -140,7 +204,7 @@ def solve_equilibrium(net: Network, commodities, mu,
             order = neg[np.argsort(f_r[neg])]
             dropped = None
             for j_local in order:
-                h = inc.od_of_path(int(idx[j_local]))
+                h = od[idx[j_local]]
                 if int(np.sum(s_r[h])) > 1:
                     dropped = int(idx[j_local])
                     break
@@ -150,20 +214,20 @@ def solve_equilibrium(net: Network, commodities, mu,
                 f = np.zeros(inc.n_paths)
                 f[idx] = np.maximum(f_r, 0.0)
                 continue
-        c = table.values(np.maximum(inc.delta[:, idx] @ f_r, 0.0))
-        pc = inc.delta.T @ c
-        viol_j, viol_v = None, -np.inf
-        for j in range(inc.n_paths):
-            if j in active or j == just_dropped:
-                continue
-            h = inc.od_of_path(j)
-            slack = pc[j] - lam[h]
-            v = -slack / (1.0 + abs(lam[h]))
-            if slack < -opts.tol_gap * (1.0 + abs(lam[h])) and v > viol_v:
-                viol_j, viol_v = j, v
-        if viol_j is None:
+        # Add the most violated path: the largest relative saving over its
+        # OD's level, among paths outside the support and beyond tol_gap.
+        pc = inc.delta.T @ table.values(np.maximum(delta_r @ f_r, 0.0))
+        lam_p = lam[od]
+        slack = pc - lam_p
+        rel = 1.0 + np.abs(lam_p)
+        cand = slack < -opts.tol_gap * rel
+        cand[idx] = False
+        if just_dropped is not None:
+            cand[just_dropped] = False
+        if not cand.any():
             break
-        active = sorted(active + [viol_j])
+        js = np.flatnonzero(cand)
+        active = sorted(active + [int(js[np.argmax(-slack[js] / rel[js])])])
         just_dropped = None
         f = np.zeros(inc.n_paths)
         f[idx] = np.maximum(f_r, 0.0)
@@ -172,16 +236,16 @@ def solve_equilibrium(net: Network, commodities, mu,
 
     f_full = np.zeros(inc.n_paths)
     f_full[np.asarray(active, dtype=int)] = np.maximum(f_r, 0.0)
-    return _assemble(inc, table, f_full, lam, opts, as_iters)
+    return _assemble(prep, f_full, opts, as_iters)
 
 
-def _assemble(inc, table, f, lam, opts, as_iters) -> EquilibriumResult:
+def _assemble(prep: Prepared, f, opts, as_iters) -> EquilibriumResult:
+    inc, table, od = prep.inc, prep.table, prep.od_of_path
     mu = inc.s @ f
     x = inc.delta @ f
     # Prefer the minimal-norm decomposition when it stays nonnegative, so the
     # reported flow is a deterministic function of (x, mu) alone.
-    stacked = np.vstack([inc.delta, inc.s])
-    f_min = np.linalg.pinv(stacked) @ np.concatenate([x, mu])
+    f_min = prep.pinv @ np.concatenate([x, mu])
     if np.min(f_min, initial=0.0) >= -1e-9:
         f = np.maximum(f_min, 0.0)
     scale = 1.0 + float(np.max(mu, initial=0.0))
@@ -189,13 +253,11 @@ def _assemble(inc, table, f, lam, opts, as_iters) -> EquilibriumResult:
     x = inc.delta @ f
     tau = table.values(x)
     pc = inc.delta.T @ tau
-    lam = np.array([np.min(pc[np.flatnonzero(inc.s[h])]) for h in range(inc.n_ods)])
+    lam = np.minimum.reduceat(pc, prep.od_start)
+    lam_p = lam[od]
     gap = float(np.max((pc - inc.s.T @ lam) * (f > 0), initial=0.0))
-    regime = tuple(
-        inc.path_ids[j]
-        for j in range(inc.n_paths)
-        if pc[j] - lam[inc.od_of_path(j)] <= opts.eps_active * (1.0 + abs(lam[inc.od_of_path(j)]))
-    )
+    in_band = pc - lam_p <= opts.eps_active * (1.0 + np.abs(lam_p))
+    regime = tuple(inc.path_ids[j] for j in np.flatnonzero(in_band))
     sc_edges = float(x @ tau)
     sc_dual = float(mu @ lam)
     if abs(sc_edges - sc_dual) > 1e-7 * (1.0 + abs(sc_edges)):
@@ -208,7 +270,8 @@ def _assemble(inc, table, f, lam, opts, as_iters) -> EquilibriumResult:
         gap=gap, regime=regime, sc=sc_dual,
         active_set_iters=as_iters,
         path_ids=inc.path_ids,
-        path_od=tuple(inc.od_of_path(j) for j in range(inc.n_paths)),
+        path_od=tuple(od.tolist()),
+        prep=prep,
     )
 
 
@@ -305,7 +368,10 @@ def price_of_anarchy(net, commodities, mu,
         return 1.0  # no traffic: skip both solves, poa_ratio would give 1
     eq = solve_equilibrium(net, commodities, mu, opts)
     opt = solve_social_optimum(net, commodities, mu, opts)
-    return poa_ratio(mu, eq.sc, opt.sc)
+    # Both totals are edge sums over the computed flows.  eq.sc = mu @ lam
+    # reads the cheapest path's cost, which at tiny demand can sit below the
+    # used paths' by up to tol_gap and so push the ratio under 1.
+    return poa_ratio(mu, social_cost(net, eq.flow_load()), opt.sc)
 
 
 def dual_certificate_affine(net, commodities, mu, res: EquilibriumResult) -> float:

@@ -7,6 +7,14 @@ quadratic program over flow directions supported on that side's active set;
 its multipliers are the one-sided derivatives of the per-OD equilibrium
 costs.  This module solves those programs, scans demand ranges for the
 transition points, and classifies the derivative jumps.
+
+The scan and the classification solve many nearby demands on one instance.
+Each probe after the first is warm-started from an earlier solution (see
+``start`` in :func:`~poaphases.equilibrium.solve_equilibrium`), so the
+instance is prepared once per scan and once per transition, and each probe
+begins from a nearby support.  The probes, and so the points and regimes
+reported, are the same as with cold solves.  A transition's classification
+solves the equilibrium and the optimum at t-bar once for both sides.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ import numpy as np
 from .costs import AffineCost, BPRCost, build_cost_table
 from .equilibrium import (
     DEFAULT_OPTIONS,
+    EquilibriumResult,
     NonConvexCostError,
+    Prepared,
     SolverError,
     SolverOptions,
     solve_equilibrium,
@@ -65,20 +75,27 @@ class QPResult:
 
 
 def theta_qp(net, commodities, x_bar, regime, rates,
-             opts: SolverOptions = DEFAULT_OPTIONS) -> QPResult:
+             opts: SolverOptions = DEFAULT_OPTIONS,
+             prep: Prepared | None = None) -> QPResult:
     """Minimize (1/2) sum_e c'_e(x_bar) z_e^2 over regime-supported directions.
 
     The equality constraints force the per-OD direction sums to `rates`.
     Solved as one KKT linear system; singular systems get the minimal-norm
     solution, which leaves z, the value, and the multipliers unchanged.
+    ``prep``, the prepared data of an equilibrium (not an optimum) on the
+    same instance and options, supplies the incidence and cost table instead
+    of building them again.
     """
-    inc = build_incidence(net, commodities)
+    if prep is None:
+        inc = build_incidence(net, commodities)
+        table = build_cost_table(net.costs, opts.sigma)
+    else:
+        inc, table = prep.inc, prep.table
     x_bar = np.asarray(x_bar, dtype=float)
     rates = np.asarray(rates, dtype=float)
     idx = regime_indices(inc, regime)
     delta_r = inc.delta[:, idx]
     s_r = inc.s[:, idx]
-    table = build_cost_table(net.costs, opts.sigma)
     slopes = table.derivs(np.maximum(x_bar, 0.0))
     q = delta_r.T @ (slopes[:, None] * delta_r)
     k, h = len(idx), inc.n_ods
@@ -116,9 +133,61 @@ class SensitivityResult:
     notes: tuple = ()
 
 
-def _probe_regime(net, commodities, curve, t, opts):
-    res = solve_equilibrium(net, commodities, curve.mu(t), opts)
+def _probe(net, commodities, curve, t, opts, start=None) -> EquilibriumResult:
+    return solve_equilibrium(net, commodities, curve.mu(t), opts, start=start)
+
+
+def _regime(res: EquilibriumResult) -> tuple:
     return tuple(sorted(res.regime))
+
+
+def _solve_at(net, commodities, curve, t_bar, opts):
+    """Equilibrium and optimum at t_bar, shared by both sides of a transition.
+
+    The optimum is None, with a note saying why, when its transform is refused.
+    """
+    mu_bar = curve.mu(t_bar)
+    eq = solve_equilibrium(net, commodities, mu_bar, opts)
+    try:
+        return eq, solve_social_optimum(net, commodities, mu_bar, opts), None
+    except NonConvexCostError as exc:
+        return eq, None, f"optimum unavailable: {exc}"
+
+
+def _one_side(net, commodities, curve, t_bar, side, eps, opts,
+              eq, opt, opt_note) -> SensitivityResult:
+    sign = -1.0 if side == "left" else 1.0
+    # The regime probes start from the solution at t_bar.
+    r1 = _regime(_probe(net, commodities, curve, t_bar + sign * eps, opts, eq))
+    r2 = _regime(_probe(net, commodities, curve, t_bar + sign * 2 * eps, opts, eq))
+    if r1 != r2:
+        raise SensitivityError(
+            f"active set not locally constant on the {side} of t={t_bar}: "
+            f"{r1} at offset {eps:g} vs {r2} at {2 * eps:g}"
+        )
+    mu_bar = curve.mu(t_bar)
+    d_left, d_right = curve.derivative(t_bar)
+    rates = d_left if side == "left" else d_right
+    qp = theta_qp(net, commodities, eq.x, r1, rates, opts, prep=eq.prep)
+    sc_prime = float(rates @ eq.lam + mu_bar @ qp.m)
+    notes = []
+    if not isinstance(curve, LinearDemand):
+        notes.append("extension: guarantees proven only for proportional demand")
+    if any(isinstance(e.cost, BPRCost) for e in net.edges):
+        notes.append("heuristic: zero-slope-at-origin costs lack smoothness guarantees")
+    if opt is None:
+        sc_opt = sc_opt_prime = poa_prime = None
+        notes.append(opt_note)
+    else:
+        sc_opt = opt.sc
+        # The optimum's multipliers are the gradient of the optimal social cost.
+        sc_opt_prime = float(rates @ opt.lam)
+        poa_prime = (sc_prime * sc_opt - eq.sc * sc_opt_prime) / sc_opt**2 if sc_opt > 0 else None
+    return SensitivityResult(
+        side=side, t=float(t_bar), regime=r1, y=qp.y, z=qp.z, theta=qp.theta,
+        lam_prime=qp.m, sc_prime=sc_prime, sc_opt_prime=sc_opt_prime,
+        poa_prime=poa_prime, sc_eq=eq.sc, sc_opt=sc_opt, notes=tuple(notes),
+    )
 
 
 def one_sided_derivatives(net, commodities, curve, t_bar, side,
@@ -126,40 +195,9 @@ def one_sided_derivatives(net, commodities, curve, t_bar, side,
                           opts: SolverOptions = DEFAULT_OPTIONS) -> SensitivityResult:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    sign = -1.0 if side == "left" else 1.0
     eps = eps_probe if eps_probe is not None else 1e-4 * (1.0 + abs(t_bar))
-    r1 = _probe_regime(net, commodities, curve, t_bar + sign * eps, opts)
-    r2 = _probe_regime(net, commodities, curve, t_bar + sign * 2 * eps, opts)
-    if r1 != r2:
-        raise SensitivityError(
-            f"active set not locally constant on the {side} of t={t_bar}: "
-            f"{r1} at offset {eps:g} vs {r2} at {2 * eps:g}"
-        )
-    mu_bar = curve.mu(t_bar)
-    res = solve_equilibrium(net, commodities, mu_bar, opts)
-    d_left, d_right = curve.derivative(t_bar)
-    rates = d_left if side == "left" else d_right
-    qp = theta_qp(net, commodities, res.x, r1, rates, opts)
-    sc_prime = float(rates @ res.lam + mu_bar @ qp.m)
-    notes = []
-    if not isinstance(curve, LinearDemand):
-        notes.append("extension: guarantees proven only for proportional demand")
-    if any(isinstance(e.cost, BPRCost) for e in net.edges):
-        notes.append("heuristic: zero-slope-at-origin costs lack smoothness guarantees")
-    try:
-        opt = solve_social_optimum(net, commodities, mu_bar, opts)
-        sc_opt = opt.sc
-        # The optimum's multipliers are the gradient of the optimal social cost.
-        sc_opt_prime = float(rates @ opt.lam)
-        poa_prime = (sc_prime * sc_opt - res.sc * sc_opt_prime) / sc_opt**2 if sc_opt > 0 else None
-    except NonConvexCostError as exc:
-        sc_opt = sc_opt_prime = poa_prime = None
-        notes.append(f"optimum unavailable: {exc}")
-    return SensitivityResult(
-        side=side, t=float(t_bar), regime=r1, y=qp.y, z=qp.z, theta=qp.theta,
-        lam_prime=qp.m, sc_prime=sc_prime, sc_opt_prime=sc_opt_prime,
-        poa_prime=poa_prime, sc_eq=res.sc, sc_opt=sc_opt, notes=tuple(notes),
-    )
+    return _one_side(net, commodities, curve, t_bar, side, eps, opts,
+                     *_solve_at(net, commodities, curve, t_bar, opts))
 
 
 def locate_breakpoints(net, commodities, curve, t_range, grid_n: int = 101,
@@ -171,33 +209,49 @@ def locate_breakpoints(net, commodities, curve, t_range, grid_n: int = 101,
     that disagrees.  Points where the set merely touches a different value
     (identical sets just left and right) are discarded.  Transitions finer
     than the grid spacing can be missed; refine with a larger grid_n.
+
+    Every probe after the first is warm-started: a grid point from the one
+    before it, a bisection midpoint from the bracket's lower end, and the
+    two confirmation probes of a transition from the bracket end on their
+    side.  A warm start reaches the equilibrium a cold solve reaches, so the
+    probes and the regimes they find are unchanged; only the work falls.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
-    if grid_n < 2 or t1 <= t0:
-        raise ValueError("need t1 > t0 and grid_n >= 2")
+    if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
+        raise ValueError("need finite t0 < t1")
+    if grid_n < 2:
+        raise ValueError("need grid_n >= 2")
+    if not (np.isfinite(tol_t) and tol_t > 0):
+        raise ValueError("need a finite tol_t > 0")
     grid = np.linspace(t0, t1, grid_n)
-    regimes = [_probe_regime(net, commodities, curve, t, opts) for t in grid]
+    sols = []
+    for t in grid:
+        sols.append(_probe(net, commodities, curve, t, opts, sols[-1] if sols else None))
+    regimes = [_regime(r) for r in sols]
     found = []
-    for a, b, ra, rb in zip(grid[:-1], grid[1:], regimes[:-1], regimes[1:]):
-        if ra == rb:
+    for k in range(grid_n - 1):
+        if regimes[k] == regimes[k + 1]:
             continue
-        lo, hi, rlo = a, b, ra
+        lo, hi, rlo = grid[k], grid[k + 1], regimes[k]
+        s_lo, s_hi = sols[k], sols[k + 1]
         while hi - lo > tol_t:
             mid = 0.5 * (lo + hi)
-            rm = _probe_regime(net, commodities, curve, mid, opts)
-            if rm == rlo:
-                lo = mid
+            if not lo < mid < hi:
+                break  # tol_t is below the float spacing at this t
+            s_mid = _probe(net, commodities, curve, mid, opts, s_lo)
+            if _regime(s_mid) == rlo:
+                lo, s_lo = mid, s_mid
             else:
-                hi = mid
-        found.append(0.5 * (lo + hi))
+                hi, s_hi = mid, s_mid
+        found.append((0.5 * (lo + hi), s_lo, s_hi))
     # Merge near-duplicates and drop isolated touch points.
     out = []
-    for t in found:
+    for t, s_lo, s_hi in found:
         if out and abs(t - out[-1]) <= 10 * tol_t:
             continue
         delta = max(100 * tol_t, 1e-6 * (1.0 + abs(t)))
-        left = _probe_regime(net, commodities, curve, t - delta, opts)
-        right = _probe_regime(net, commodities, curve, t + delta, opts)
+        left = _regime(_probe(net, commodities, curve, t - delta, opts, s_lo))
+        right = _regime(_probe(net, commodities, curve, t + delta, opts, s_hi))
         if left != right:
             out.append(t)
     return out
@@ -266,8 +320,9 @@ def classify_breakpoint(net, commodities, curve, t_bar,
     affine.  Anything outside that scope is reported as observations only.
     """
     eps = eps_probe if eps_probe is not None else 1e-4 * (1.0 + abs(t_bar))
-    left = one_sided_derivatives(net, commodities, curve, t_bar, "left", eps, opts)
-    right = one_sided_derivatives(net, commodities, curve, t_bar, "right", eps, opts)
+    at = _solve_at(net, commodities, curve, t_bar, opts)
+    left = _one_side(net, commodities, curve, t_bar, "left", eps, opts, *at)
+    right = _one_side(net, commodities, curve, t_bar, "right", eps, opts, *at)
     relation = _containment(set(left.regime), set(right.regime))
     annotations = list(dict.fromkeys(left.notes + right.notes))
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poaphases
 from poaphases import corpus, instance_io
 from poaphases.cli import SWEEP_SCHEMA, main
 
@@ -151,3 +156,40 @@ def test_all_zero_costs_poa_is_one(tmp_path, capsys):
     assert [row["poa"] for row in rows] == [1.0, 1.0, 1.0]
     assert main(["solve", str(inst), "--t", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["poa"] == 1.0
+
+
+@pytest.mark.parametrize("extra", [
+    ["--t0", "2", "--t1", "2"],
+    ["--t0", "3", "--t1", "1"],
+    ["--t0", "inf", "--t1", "inf"],
+    ["--t0", "0", "--t1", "nan"],
+    ["--t0", "0", "--t1", "4", "--grid", "1"],
+    ["--t0", "0", "--t1", "4", "--tol-t", "nan"],
+    ["--t0", "0", "--t1", "4", "--eps-probe", "0"],
+])
+def test_breakpoints_bad_arguments_exit_1(fisk_path, capsys, extra):
+    assert main(["breakpoints", fisk_path, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: breakpoints: need")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol_t,code", [("0", 1), ("-1", 1), ("1e-20", 0)])
+def test_breakpoints_tiny_tol_t_ends(fisk_path, tol_t, code):
+    # These ran forever once: a nonpositive tol_t never closes the bracket,
+    # and one below the float spacing stalls the bisection.  A subprocess
+    # with a timeout keeps a regression from stalling the suite.
+    src = str(Path(poaphases.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "poaphases.cli", "breakpoints", fisk_path,
+         "--t0", "0", "--t1", "30", "--tol-t", tol_t],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr == "error: breakpoints: need a finite tol_t > 0\n"
+    else:
+        (rep,) = json.loads(proc.stdout)
+        assert abs(rep["t"] - 11.0) < 1e-3

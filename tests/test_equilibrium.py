@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poaphases import corpus
+from poaphases import corpus, equilibrium
 from poaphases.costs import AffineCost
 from poaphases.equilibrium import (
     NonConvexCostError,
@@ -252,3 +252,57 @@ def test_poa_at_least_one():
         net, coms, curve = corpus.get_instance(name)
         for t in np.linspace(0.1, 12.0, 7):
             assert price_of_anarchy(net, coms, curve.mu(t)) >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Warm starts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t_from,t_to", [
+    (20.0, 20.5), (5.0, 20.0), (20.0, 5.0), (0.0, 30.0), (60.0, 40.0), (None, 12.0),
+])
+def test_warm_equilibrium_matches_cold(fisk, t_from, t_to):
+    net, coms = fisk
+    mu_from = np.zeros(3) if t_from is None else fisk_mu(t_from)
+    start = solve_equilibrium(net, coms, mu_from)
+    cold = solve_equilibrium(net, coms, fisk_mu(t_to))
+    warm = solve_equilibrium(net, coms, fisk_mu(t_to), start=start)
+    assert warm.regime == cold.regime
+    np.testing.assert_allclose(warm.x, cold.x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(warm.f, cold.f, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(warm.lam, cold.lam, rtol=1e-12)
+    assert warm.sc == pytest.approx(cold.sc, rel=1e-12)
+    assert warm.prep is start.prep
+
+
+def test_warm_start_from_same_support_needs_one_pass():
+    # Cold, the fig1 equilibrium at t = 20 adds its five paths one at a time.
+    net, coms, curve = corpus.build_fig1()
+    start = solve_equilibrium(net, coms, curve.mu(20.0))
+    cold = solve_equilibrium(net, coms, curve.mu(20.5))
+    warm = solve_equilibrium(net, coms, curve.mu(20.5), start=start)
+    assert warm.regime == cold.regime
+    assert warm.active_set_iters == 1 < cold.active_set_iters
+
+
+def test_warm_solves_build_nothing(fisk, monkeypatch):
+    net, coms = fisk
+    eq = solve_equilibrium(net, coms, fisk_mu(20.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm solve rebuilt its instance data")
+
+    for name in ("build_incidence", "build_cost_table", "marginal"):
+        monkeypatch.setattr(equilibrium, name, refuse)
+    solve_equilibrium(net, coms, fisk_mu(25.0), start=eq)
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_poa_at_tiny_demand(b):
+    # Found by test_properties' random search: three identical links.  The
+    # equilibrium stops with cheaper unused paths (tol_gap is absolute at
+    # small costs), so its sc = mu @ lam undercounts; the PoA uses edge sums.
+    net = Network(["O", "D"], [Edge(f"e{i}", "O", "D", AffineCost(1.0, b)) for i in range(3)])
+    coms = [Commodity("od", "O", "D", tuple(Path(f"p{i}", "od", (f"e{i}",)) for i in range(3)))]
+    assert price_of_anarchy(net, coms, (3.067121613679878e-10,)) >= 1.0 - 1e-12

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
-from poaphases import corpus
+from poaphases import corpus, equilibrium, model, sensitivity
 from poaphases.costs import AffineCost
-from poaphases.equilibrium import solve_equilibrium
+from poaphases.equilibrium import DEFAULT_OPTIONS, solve_equilibrium
 from poaphases.model import Commodity, Edge, LinearDemand, Network, Path, build_incidence
 from poaphases.sensitivity import (
     SensitivityError,
@@ -308,3 +310,130 @@ def test_affine_parametric_stale_regime_diverges_from_equilibrium(fisk):
     f_line = w * t_far + z
     x_line = inc.delta @ f_line
     assert np.max(np.abs(x_line - res.x)) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# Warm-started scan: same answers, less work
+# ---------------------------------------------------------------------------
+
+
+def cold_scan(net, coms, curve, t_range, grid_n=101, tol_t=1e-7, opts=DEFAULT_OPTIONS):
+    """The scan with every probe a cold solve, as it was before warm starts.
+
+    Returns the located points and the (mu, regime) of every probe in order.
+    """
+    probes = []
+
+    def probe(t):
+        mu = curve.mu(t)
+        regime = tuple(sorted(solve_equilibrium(net, coms, mu, opts).regime))
+        probes.append((tuple(mu), regime))
+        return regime
+
+    t0, t1 = float(t_range[0]), float(t_range[1])
+    grid = np.linspace(t0, t1, grid_n)
+    regimes = [probe(t) for t in grid]
+    found = []
+    for a, b, ra, rb in zip(grid[:-1], grid[1:], regimes[:-1], regimes[1:]):
+        if ra == rb:
+            continue
+        lo, hi, rlo = a, b, ra
+        while hi - lo > tol_t:
+            mid = 0.5 * (lo + hi)
+            if probe(mid) == rlo:
+                lo = mid
+            else:
+                hi = mid
+        found.append(0.5 * (lo + hi))
+    out = []
+    for t in found:
+        if out and abs(t - out[-1]) <= 10 * tol_t:
+            continue
+        delta = max(100 * tol_t, 1e-6 * (1.0 + abs(t)))
+        if probe(t - delta) != probe(t + delta):
+            out.append(t)
+    return out, probes
+
+
+def count_calls(monkeypatch, module, name, record=None):
+    """Wrap `module.name` wherever poaphases holds it; returns the call list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(record(args, result) if record else None)
+        return result
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "poaphases" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,t_range", [
+    ("fisk", (0.0, 80.0)),
+    ("pigou", (0.0, 4.0)),
+    ("wheatstone", (0.0, 4.0)),
+    ("fig1", (0.0, 16.0)),
+    ("contraction-expansion", (0.0, 4.0)),
+    ("watling-equality", (0.0, 2.0)),
+])
+def test_warm_scan_matches_cold_scan(monkeypatch, name, t_range):
+    net, coms, curve = corpus.get_instance(name)
+    ref_points, ref_probes = cold_scan(net, coms, curve, t_range)
+    probes = count_calls(monkeypatch, equilibrium, "solve_equilibrium",
+                         lambda args, res: (tuple(args[2]), tuple(sorted(res.regime))))
+    points = locate_breakpoints(net, coms, curve, t_range)
+    assert [float(t) for t in points] == [float(t) for t in ref_points]
+    assert probes == ref_probes
+
+
+def test_classify_shares_t_bar_solves(monkeypatch):
+    # Two probes per side, plus one equilibrium and one optimum at t-bar
+    # shared by both sides (the optimum solves the marginal game).
+    net, coms, curve = corpus.build_pigou()
+    solves = count_calls(monkeypatch, equilibrium, "solve_equilibrium")
+    rep = classify_breakpoint(net, coms, curve, 1.0)
+    assert rep.relation == "expansion"
+    assert len(solves) == 6
+
+
+def test_scan_builds_incidence_once(monkeypatch):
+    net, coms, curve = corpus.build_fig1()
+    builds = count_calls(monkeypatch, model, "build_incidence")
+    solves = count_calls(monkeypatch, sensitivity, "solve_equilibrium")
+    assert len(locate_breakpoints(net, coms, curve, (0.0, 16.0))) == 5
+    assert len(solves) > 100
+    assert len(builds) <= 2
+
+
+# Known defects of the grid-and-bisect scanner, kept as they are until the
+# exact continuation of ROADMAP item 6 replaces it.
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: eps_active band reports fisk early")
+def test_scan_locates_fisk_at_11(fisk):
+    net, coms, curve = fisk
+    (t,) = locate_breakpoints(net, coms, curve, (0.0, 80.0))
+    assert abs(t - 11.0) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: quadratic gap closing, reported at 0.99955")
+def test_scan_locates_watling_equality_at_1():
+    net, coms, curve = corpus.build_watling_equality()
+    (t,) = locate_breakpoints(net, coms, curve, (0.0, 2.0))
+    assert abs(t - 1.0) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the t = 2 transition is reported twice")
+def test_scan_reports_contraction_expansion_once():
+    net, coms, curve = corpus.build_contraction_expansion()
+    pts = locate_breakpoints(net, coms, curve, (0.0, 4.0))
+    np.testing.assert_allclose(pts, [0.5, 2.0], atol=1e-5)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: coarse grid misses 3 and 6 on [0, 400]")
+def test_scan_finds_all_fig1_transitions_on_wide_range():
+    net, coms, curve = corpus.build_fig1()
+    pts = locate_breakpoints(net, coms, curve, (0.0, 400.0))
+    np.testing.assert_allclose(pts, [1.0, 3.0, 4.0, 6.0, 13.5], atol=1e-5)
