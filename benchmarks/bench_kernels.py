@@ -1,6 +1,9 @@
-"""Benchmark the compiled batched cost kernel against the numpy fallback.
+"""Time the batched cost kernel at several table widths.
 
-Usage: python3 benchmarks/bench_kernels.py [--edges N] [--reps R]
+Usage: python3 benchmarks/bench_kernels.py [--edges N [N ...]] [--reps R]
+
+Prints the time of one values/derivs/primitives pass over a mixed table
+(affine, polynomial, BPR and piecewise edges in turn) and the time per edge.
 """
 
 import argparse
@@ -8,7 +11,6 @@ import time
 
 import numpy as np
 
-from poaphases import kernels
 from poaphases.costs import (
     AffineCost,
     BPRCost,
@@ -33,37 +35,32 @@ def make_table(n_edges: int, rng):
     return build_cost_table(costs)
 
 
-def bench(fn, table, xs, reps):
-    out = np.empty_like(xs[0])
-    # Warm up (and trigger compilation for the jitted path).
-    fn(table.kinds, table.params, table.ext_slope, table.value_at_zero,
-       xs[0], kernels.MODE_VALUE, out)
+def bench(table, xs, reps):
+    """Seconds per pass of the three evaluation modes."""
     start = time.perf_counter()
     for r in range(reps):
-        for mode in (kernels.MODE_VALUE, kernels.MODE_DERIV, kernels.MODE_PRIMITIVE):
-            fn(table.kinds, table.params, table.ext_slope, table.value_at_zero,
-               xs[r % len(xs)], mode, out)
+        x = xs[r % len(xs)]
+        table.values(x)
+        table.derivs(x)
+        table.primitives(x)
     return (time.perf_counter() - start) / reps
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--edges", type=int, default=20_000)
-    ap.add_argument("--reps", type=int, default=200)
+    ap.add_argument("--edges", type=int, nargs="+", default=[7, 200, 20_000])
+    ap.add_argument("--reps", type=int, default=None,
+                    help="passes per width (default: about 60,000 edge evaluations)")
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
-    table = make_table(args.edges, rng)
-    xs = [rng.uniform(-1.0, 5.0, size=args.edges) for _ in range(8)]
-
-    t_np = bench(kernels.eval_batch_numpy, table, xs, args.reps)
-    print(f"numpy fallback : {t_np * 1e3:9.3f} ms per 3-mode pass ({args.edges} edges)")
-    if kernels.eval_batch_numba is not None:
-        t_nb = bench(kernels.eval_batch_numba, table, xs, args.reps)
-        print(f"compiled kernel: {t_nb * 1e3:9.3f} ms per 3-mode pass")
-        print(f"speedup        : {t_np / t_nb:9.2f}x")
-    else:
-        print("compiled kernel unavailable (numba not importable)")
+    for n in args.edges:
+        table = make_table(n, rng)
+        xs = [rng.uniform(-1.0, 5.0, size=n) for _ in range(8)]
+        reps = args.reps or max(3, 60_000 // n)
+        t = bench(table, xs, reps)
+        print(f"{n:7d} edges: {t * 1e3:9.3f} ms per 3-mode pass, "
+              f"{t / (3 * n) * 1e9:7.0f} ns per edge")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,8 @@ from .costs import (
     AffineCost,
     BPRCost,
     CostError,
-    ExtendedCost,
     PiecewiseC1Cost,
     PolynomialCost,
-    extend_negative,
     fenchel_conjugate_affine,
     marginal,
 )

@@ -55,7 +55,14 @@ def _load(args):
     return instance_io.load_instance(args.instance)
 
 
+def _require_finite(command: str, args, *names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            raise ModelError(f"{command}: need a finite --{name}")
+
+
 def cmd_solve(args) -> int:
+    _require_finite("solve", args, "t")
     net, coms, demand = _load(args)
     opts = _options(args)
     mu = demand.mu(args.t)
@@ -111,6 +118,7 @@ def _sweep_row(net, coms, demand, opts, t):
 def cmd_sweep(args) -> int:
     if args.n < 2:
         raise ModelError("sweep needs --n >= 2")
+    _require_finite("sweep", args, "t0", "t1")
     net, coms, demand = _load(args)
     opts = _options(args)
     grid = np.linspace(args.t0, args.t1, args.n)
@@ -158,6 +166,7 @@ def cmd_breakpoints(args) -> int:
 
 
 def cmd_fixed_regime(args) -> int:
+    _require_finite("fixed-regime", args, "t")
     net, coms, demand = _load(args)
     mu = demand.mu(args.t)
     regime = args.regime.split(",") if args.regime else None

@@ -2,23 +2,25 @@
 
 Each family provides value, derivative, exact primitive (antiderivative with
 value 0 at 0), the marginal-cost transform ``c(x) + x c'(x)``, and an encoding
-into the flat tables consumed by :mod:`poaphases.kernels`.  Costs are defined
-on ``[0, inf)``; :func:`extend_negative` produces a linear continuation for
+into the flat tables consumed by :mod:`poaphases.kernels`.  The scalar methods
+are defined on ``[0, inf)`` and are the reference the kernel is tested
+against.  The solvers evaluate costs through the table of
+:func:`build_cost_table`, which continues each cost linearly below zero for
 the relaxed fixed-regime solvers, which may probe negative loads.
+Constructors reject non-finite parameters, and piecewise costs are checked
+to be nondecreasing exactly, piece by piece.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 
-#: Points used to validate monotonicity of piecewise families numerically.
-_MONOTONE_GRID_N = 1024
-
-#: Default slope for the negative-domain continuation of flat-at-zero costs.
+#: Least slope of the negative-load continuation, for costs flat at zero.
 DEFAULT_EXTENSION_SLOPE = 1e-2
 
 
@@ -28,7 +30,13 @@ class CostError(ValueError):
 
 def _check_nonneg_x(x: float) -> None:
     if x < 0:
-        raise CostError(f"cost evaluated at negative load {x}; use extend_negative")
+        raise CostError(f"cost evaluated at negative load {x}; costs are defined on x >= 0")
+
+
+def _check_finite(family: str, values) -> None:
+    # NaN passes every sign check, so finiteness is checked first.
+    if not all(math.isfinite(v) for v in values):
+        raise CostError(f"{family} cost parameters must be finite, got {tuple(values)}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,7 @@ class AffineCost:
     b: float = 0.0
 
     def __post_init__(self):
+        _check_finite("affine", (self.a, self.b))
         if self.a < 0 or self.b < 0:
             raise CostError(f"affine cost needs a, b >= 0, got a={self.a}, b={self.b}")
 
@@ -73,6 +82,7 @@ class PolynomialCost:
             raise CostError("polynomial cost needs at least one coefficient")
         if len(coeffs) > 8:
             raise CostError("polynomial costs support degree <= 7")
+        _check_finite("polynomial", coeffs)
         if any(c < 0 for c in coeffs):
             raise CostError(f"polynomial coefficients must be nonnegative: {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -108,6 +118,7 @@ class BPRCost:
     beta: float
 
     def __post_init__(self):
+        _check_finite("BPR", (self.t0, self.cap, self.alpha, self.beta))
         if self.t0 <= 0 or self.cap <= 0 or self.alpha < 0 or self.beta < 1:
             raise CostError(
                 f"BPR needs t0 > 0, cap > 0, alpha >= 0, beta >= 1; got {self}"
@@ -145,6 +156,28 @@ def _piece_deriv(coeffs, x):
     return float(np.polynomial.polynomial.polyval(x, d))
 
 
+def _check_nondecreasing(coeffs, lo: float, hi: float = math.inf) -> None:
+    """Raise CostError unless the polynomial ``coeffs`` is nondecreasing on [lo, hi].
+
+    The slope c' is checked at the ends of the interval and at every root of
+    c'' inside it (the real parts of all its roots, which include the real
+    ones), so every minimum of c' on the interval is seen.  On an unbounded
+    interval c' must also not fall without bound: its leading coefficient
+    must be nonnegative.  The tolerance is a rounding bound of the slope.
+    """
+    poly = np.polynomial.polynomial
+    d = poly.polytrim(poly.polyder(coeffs))
+    crit = poly.polyroots(poly.polyder(d)).real
+    pts = [lo, *crit[(crit > lo) & (crit < hi)]]
+    if hi < math.inf:
+        pts.append(hi)
+    pts = np.array(pts)
+    rounding = 1e-12 * poly.polyval(np.abs(pts), np.abs(d))
+    falls_forever = hi == math.inf and d[-1] < 0
+    if falls_forever or np.any(poly.polyval(pts, d) < -rounding):
+        raise CostError(f"piecewise cost is not nondecreasing on [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class PiecewiseC1Cost:
     """Two polynomial pieces joined at ``x0``.
@@ -168,6 +201,7 @@ class PiecewiseC1Cost:
             raise CostError("piecewise pieces must have 1..5 coefficients")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        _check_finite("piecewise", (self.x0, *left, *right))
         if self.x0 <= 0:
             raise CostError(f"piecewise breakpoint must be positive, got {self.x0}")
         v_gap = abs(_piece_val(left, self.x0) - _piece_val(right, self.x0))
@@ -181,10 +215,8 @@ class PiecewiseC1Cost:
                 )
         # Individual pieces are often non-monotone polynomials, so the
         # nondecreasing assumption has to be checked, not trusted.
-        grid = np.linspace(0.0, self.x0 + 10.0, _MONOTONE_GRID_N)
-        vals = [self.value(g) for g in grid]
-        if np.min(np.diff(vals)) < -1e-12:
-            raise CostError("piecewise cost is not nondecreasing on [0, x0 + 10]")
+        _check_nondecreasing(left, 0.0, self.x0)
+        _check_nondecreasing(right, self.x0)
         if self.value(0.0) < 0:
             raise CostError("piecewise cost is negative at 0")
 
@@ -226,46 +258,6 @@ class PiecewiseC1Cost:
 CostFunction = AffineCost | PolynomialCost | BPRCost | PiecewiseC1Cost
 
 
-@dataclass(frozen=True)
-class ExtendedCost:
-    """A cost continued linearly below zero with slope max(c'(0), sigma)."""
-
-    base: CostFunction
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise CostError(f"extension slope must be positive, got {self.sigma}")
-
-    @property
-    def slope(self) -> float:
-        return max(self.base.derivative(0.0), self.sigma)
-
-    def value(self, x: float) -> float:
-        if x >= 0:
-            return self.base.value(x)
-        return self.base.value(0.0) + self.slope * x
-
-    def derivative(self, x: float) -> float:
-        if x >= 0:
-            return self.base.derivative(x)
-        return self.slope
-
-    def primitive(self, x: float) -> float:
-        if x >= 0:
-            return self.base.primitive(x)
-        return self.base.value(0.0) * x + 0.5 * self.slope * x * x
-
-
-def extend_negative(cost: CostFunction, sigma: float = DEFAULT_EXTENSION_SLOPE) -> ExtendedCost:
-    """Continue ``cost`` to the negative axis with slope max(c'(0), sigma).
-
-    When c'(0) = 0 the continuation has a derivative kink at 0; solutions of
-    the relaxed problems are re-verified in the nonnegative domain anyway.
-    """
-    return ExtendedCost(cost, sigma)
-
-
 def marginal(cost: CostFunction) -> CostFunction:
     """Marginal-cost transform c(x) + x * c'(x).
 
@@ -283,23 +275,23 @@ def fenchel_conjugate_affine(cost: AffineCost, eta: float) -> float:
     return max(eta - cost.b, 0.0) ** 2 / (2.0 * cost.a)
 
 
-def build_cost_table(costs, sigma: float = DEFAULT_EXTENSION_SLOPE) -> kernels.CostTable:
-    """Encode a sequence of costs (or ExtendedCost) into a kernel table."""
+def build_cost_table(costs) -> kernels.CostTable:
+    """Encode a sequence of costs into a kernel table.
+
+    Below zero the table continues each cost linearly from c(0) with slope
+    max(c'(0), DEFAULT_EXTENSION_SLOPE).  When c'(0) = 0 the continuation has
+    a derivative kink at 0; solutions of the relaxed problems are re-verified
+    in the nonnegative domain anyway.
+    """
     n = len(costs)
     kinds = np.zeros(n, dtype=np.int64)
     params = np.zeros((n, kernels.PARAM_WIDTH), dtype=np.float64)
     ext_slope = np.zeros(n, dtype=np.float64)
     value_at_zero = np.zeros(n, dtype=np.float64)
     for i, c in enumerate(costs):
-        if isinstance(c, ExtendedCost):
-            slope = c.slope
-            base = c.base
-        else:
-            slope = max(c.derivative(0.0), sigma)
-            base = c
-        kind, row = base.encode()
+        kind, row = c.encode()
         kinds[i] = kind
         params[i, : len(row)] = row
-        ext_slope[i] = slope
-        value_at_zero[i] = base.value(0.0)
+        ext_slope[i] = max(c.derivative(0.0), DEFAULT_EXTENSION_SLOPE)
+        value_at_zero[i] = c.value(0.0)
     return kernels.CostTable(kinds, params, ext_slope, value_at_zero)

@@ -23,7 +23,6 @@ import numpy as np
 from .costs import (
     AffineCost,
     CostError,
-    DEFAULT_EXTENSION_SLOPE,
     build_cost_table,
     fenchel_conjugate_affine,
     marginal,
@@ -49,7 +48,6 @@ class SolverOptions:
     newton_tol_res: float = 1e-12
     newton_tol_step: float = 1e-9
     newton_max_iters: int = 80
-    sigma: float = DEFAULT_EXTENSION_SLOPE
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -70,14 +68,14 @@ class Prepared:
     pinv: np.ndarray  # pinv([delta; s]): (loads, demands) -> minimal-norm flow
 
 
-def _prepare(net: Network, commodities, sigma: float = DEFAULT_EXTENSION_SLOPE) -> Prepared:
+def _prepare(net: Network, commodities) -> Prepared:
     inc = build_incidence(net, commodities)
     counts = inc.s.sum(axis=1).astype(int)
     return Prepared(
         inc=inc,
         od_of_path=np.repeat(np.arange(inc.n_ods), counts),
         od_start=np.cumsum(counts) - counts,
-        table=build_cost_table(net.costs, sigma),
+        table=build_cost_table(net.costs),
         pinv=np.linalg.pinv(np.vstack([inc.delta, inc.s])),
     )
 
@@ -129,7 +127,7 @@ def solve_equilibrium(net: Network, commodities, mu,
     loop fails, it restarts from all-or-nothing.  The equilibrium is the
     same; a start near ``mu`` only reaches it in fewer iterations.
     """
-    prep = _prepare(net, commodities, opts.sigma) if start is None else start.prep
+    prep = _prepare(net, commodities) if start is None else start.prep
     inc = prep.inc
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (inc.n_ods,):
@@ -284,7 +282,7 @@ def wardrop_gap(net, commodities, fl: FlowLoad, mu) -> float:
         raise SolverError("flow does not meet the demand vector")
     if np.min(fl.f, initial=0.0) < -1e-9:
         raise SolverError("flow has negative entries")
-    table = build_cost_table(net.costs, DEFAULT_EXTENSION_SLOPE)
+    table = build_cost_table(net.costs)
     pc = inc.delta.T @ table.values(np.maximum(fl.x, 0.0))
     worst = 0.0
     for h in range(inc.n_ods):
@@ -308,7 +306,7 @@ def active_regime(res: EquilibriumResult, eps_active: float) -> tuple:
 
 def social_cost(net, fl: FlowLoad, commodities=None) -> float:
     """Total travel cost of a consistent flow-load pair."""
-    table = build_cost_table(net.costs, DEFAULT_EXTENSION_SLOPE)
+    table = build_cost_table(net.costs)
     c = table.values(np.maximum(fl.x, 0.0))
     edge_sum = float(fl.x @ c)
     if commodities is not None:
@@ -383,7 +381,7 @@ def dual_certificate_affine(net, commodities, mu, res: EquilibriumResult) -> flo
             )
     inc = build_incidence(net, commodities)
     mu = np.asarray(mu, dtype=float)
-    table = build_cost_table(net.costs, DEFAULT_EXTENSION_SLOPE)
+    table = build_cost_table(net.costs)
     phi = float(table.potential(np.maximum(res.x, 0.0)))
     conj = sum(fenchel_conjugate_affine(e.cost, float(t)) for e, t in zip(net.edges, res.tau))
     pc = inc.delta.T @ res.tau

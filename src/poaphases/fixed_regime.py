@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import DEFAULT_EXTENSION_SLOPE, build_cost_table
+from .costs import build_cost_table
 from .model import Incidence, ModelError, build_incidence
 
 
@@ -127,9 +127,9 @@ class WardropConsistency:
         return self.nonneg_flows and self.no_cheaper_outside
 
 
-def _prepare(net, commodities, sigma):
+def _prepare(net, commodities):
     inc = build_incidence(net, commodities)
-    table = build_cost_table(net.costs, sigma)
+    table = build_cost_table(net.costs)
     return inc, table
 
 
@@ -143,12 +143,11 @@ def _initial_flow(inc, idx, mu):
 
 
 def solve_fixed_regime(net, commodities, regime, mu, *,
-                       sigma: float = DEFAULT_EXTENSION_SLOPE,
                        f_start=None, lam_start=None,
                        tol_res: float = 1e-12, tol_step: float = 1e-9,
                        max_iters: int = 80) -> RelaxedSolution:
     """Solve the sign-relaxed restricted problem and extract multipliers."""
-    inc, table = _prepare(net, commodities, sigma)
+    inc, table = _prepare(net, commodities)
     mu = np.asarray(mu, dtype=float)
     idx = regime_indices(inc, regime)
     delta_r = inc.delta[:, idx]
@@ -197,15 +196,14 @@ def is_wardrop_consistent(net, commodities, sol: RelaxedSolution,
     return WardropConsistency(nonneg_flows=nonneg, no_cheaper_outside=no_cheaper)
 
 
-def perturbed_value(net, commodities, regime, mu, xi=None, omega=None, *,
-                    sigma: float = DEFAULT_EXTENSION_SLOPE) -> float:
+def perturbed_value(net, commodities, regime, mu, xi=None, omega=None) -> float:
     """Minimum potential with loads shifted by xi and off-regime flows pinned.
 
     omega maps off-regime path ids to fixed flow values; pinning a regime
     path is rejected.  Substituting the pinned flows turns the problem back
     into a pure restricted solve with adjusted demands and a load offset.
     """
-    inc, table = _prepare(net, commodities, sigma)
+    inc, table = _prepare(net, commodities)
     mu = np.asarray(mu, dtype=float)
     idx = regime_indices(inc, regime)
     rset = set(int(j) for j in idx)
@@ -231,20 +229,19 @@ def perturbed_value(net, commodities, regime, mu, xi=None, omega=None, *,
 
 
 def check_value_gradient(net, commodities, regime, mu, *,
-                         h_fd: float = 1e-4, tol_fd: float = 1e-5,
-                         sigma: float = DEFAULT_EXTENSION_SLOPE) -> dict:
+                         h_fd: float = 1e-4, tol_fd: float = 1e-5) -> dict:
     """Central finite differences of the perturbed value vs multipliers.
 
     Differentiates in every demand coordinate, every load-offset coordinate,
     and every pinned off-regime flow coordinate, comparing against the
     multipliers (m, eta, nu) of the unperturbed restricted solve.
     """
-    inc, _ = _prepare(net, commodities, sigma)
+    inc, _ = _prepare(net, commodities)
     mu = np.asarray(mu, dtype=float)
-    sol = solve_fixed_regime(net, commodities, regime, mu, sigma=sigma)
+    sol = solve_fixed_regime(net, commodities, regime, mu)
 
     def val(mu_v, xi_v, omega):
-        return perturbed_value(net, commodities, regime, mu_v, xi_v, omega, sigma=sigma)
+        return perturbed_value(net, commodities, regime, mu_v, xi_v, omega)
 
     dev_m = 0.0
     for h in range(inc.n_ods):

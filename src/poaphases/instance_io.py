@@ -50,6 +50,8 @@ def cost_from_json(frag: dict):
                                    tuple(float(c) for c in frag["right"]))
     except KeyError as exc:
         raise InstanceFormatError(f"cost fragment missing field {exc}: {frag}") from exc
+    except (ValueError, TypeError) as exc:  # CostError is a ValueError
+        raise InstanceFormatError(f"bad cost fragment {frag}: {exc}") from exc
     raise InstanceFormatError(f"unknown cost type {frag.get('type')!r}")
 
 
@@ -68,22 +70,31 @@ def cost_to_json(cost) -> dict:
 
 
 def demand_from_json(frag: dict, n_ods: int):
+    """The demand curve of ``frag``, checked to give one entry per commodity."""
     kind = frag.get("type")
-    dom = {}
-    if "t_min" in frag:
-        dom["t_min"] = float(frag["t_min"])
-    if "t_max" in frag:
-        dom["t_max"] = float(frag["t_max"])
-    if kind == "linear":
-        return LinearDemand(tuple(float(v) for v in frag["rates"]), **dom)
-    if kind == "affine":
-        return AffineDemand(tuple(float(v) for v in frag["slope"]),
-                            tuple(float(v) for v in frag["intercept"]), **dom)
-    if kind == "piecewise":
-        return PiecewiseAffineDemand(tuple(float(t) for t in frag["knots"]),
-                                     tuple(tuple(float(v) for v in row)
-                                           for row in frag["values"]))
-    raise InstanceFormatError(f"unknown demand type {kind!r}")
+    if kind not in ("linear", "affine", "piecewise"):
+        raise InstanceFormatError(f"unknown demand type {kind!r}")
+    try:
+        dom = {}
+        if "t_min" in frag:
+            dom["t_min"] = float(frag["t_min"])
+        if "t_max" in frag:
+            dom["t_max"] = float(frag["t_max"])
+        if kind == "linear":
+            curve = LinearDemand(tuple(float(v) for v in frag["rates"]), **dom)
+        elif kind == "affine":
+            curve = AffineDemand(tuple(float(v) for v in frag["slope"]),
+                                 tuple(float(v) for v in frag["intercept"]), **dom)
+        else:
+            curve = PiecewiseAffineDemand(tuple(float(t) for t in frag["knots"]),
+                                          tuple(tuple(float(v) for v in row)
+                                                for row in frag["values"]))
+    except ValueError as exc:  # DemandError is a ValueError
+        raise InstanceFormatError(f"demand: {exc}") from exc
+    width = len(curve.mu(curve.t_min))
+    if width != n_ods:
+        raise InstanceFormatError(f"demand has {width} entries for {n_ods} commodities")
+    return curve
 
 
 def demand_to_json(curve) -> dict:

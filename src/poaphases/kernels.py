@@ -1,31 +1,19 @@
-"""Batched edge-cost evaluation kernels.
+"""Batched edge-cost evaluation: the one path by which the solvers see costs.
 
 Every solver in this package spends its inner iterations evaluating all edge
 costs (value, first derivative, integral from zero) at a load vector.  The
-cost families are encoded into flat numeric tables so the evaluation loop can
-be JIT-compiled with numba.  A pure-NumPy implementation of the identical
-loop is kept as a fallback and for benchmarking; set the environment variable
-``POAPHASES_NUMBA=0`` to force it.
+cost families are encoded into flat numeric tables (see
+:func:`poaphases.costs.build_cost_table`) and evaluated by one per-edge loop,
+:func:`eval_batch`.
 
 Negative loads are evaluated through the linear continuation
-``c(0) + s * x`` with per-edge slope ``s``; callers that forbid negative
-loads must validate before encoding (see :mod:`poaphases.costs`).
+``c(0) + s * x`` with per-edge slope ``s``; this table is the only place the
+continuation lives.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("POAPHASES_NUMBA", "1") != "0"
 
 # Cost-family codes used in the encoded tables.
 KIND_POLY = 0
@@ -64,85 +52,68 @@ def _poly_primitive(params, off, n, x):
     return acc * x
 
 
-def _make_eval(jit: bool):
-    poly_value = _poly_value
-    poly_deriv = _poly_deriv
-    poly_primitive = _poly_primitive
-    if jit:
-        poly_value = njit(cache=True)(poly_value)
-        poly_deriv = njit(cache=True)(poly_deriv)
-        poly_primitive = njit(cache=True)(poly_primitive)
-
-    def eval_batch(kinds, params, ext_slope, value_at_zero, x, mode, out):
-        for e in range(x.shape[0]):
-            xe = x[e]
-            if xe < 0.0:
-                # linear continuation below zero
-                if mode == MODE_VALUE:
-                    out[e] = value_at_zero[e] + ext_slope[e] * xe
-                elif mode == MODE_DERIV:
-                    out[e] = ext_slope[e]
+def eval_batch(kinds, params, ext_slope, value_at_zero, x, mode, out):
+    """Evaluate every edge's cost in ``mode`` at its load ``x[e]`` into ``out``."""
+    for e in range(x.shape[0]):
+        xe = x[e]
+        if xe < 0.0:
+            # linear continuation below zero
+            if mode == MODE_VALUE:
+                out[e] = value_at_zero[e] + ext_slope[e] * xe
+            elif mode == MODE_DERIV:
+                out[e] = ext_slope[e]
+            else:
+                out[e] = value_at_zero[e] * xe + 0.5 * ext_slope[e] * xe * xe
+            continue
+        kind = kinds[e]
+        if kind == KIND_POLY:
+            n = int(params[e, 0])
+            if mode == MODE_VALUE:
+                out[e] = _poly_value(params[e], 1, n, xe)
+            elif mode == MODE_DERIV:
+                out[e] = _poly_deriv(params[e], 1, n, xe)
+            else:
+                out[e] = _poly_primitive(params[e], 1, n, xe)
+        elif kind == KIND_BPR:
+            t0 = params[e, 0]
+            cap = params[e, 1]
+            alpha = params[e, 2]
+            beta = params[e, 3]
+            ratio = xe / cap
+            if mode == MODE_VALUE:
+                out[e] = t0 * (1.0 + alpha * ratio**beta)
+            elif mode == MODE_DERIV:
+                if xe == 0.0 and beta > 1.0:
+                    out[e] = 0.0
                 else:
-                    out[e] = value_at_zero[e] * xe + 0.5 * ext_slope[e] * xe * xe
-                continue
-            kind = kinds[e]
-            if kind == KIND_POLY:
-                n = int(params[e, 0])
+                    out[e] = t0 * alpha * beta * ratio ** (beta - 1.0) / cap
+            else:
+                out[e] = t0 * xe + t0 * alpha * cap / (beta + 1.0) * ratio ** (
+                    beta + 1.0
+                )
+        else:  # KIND_PIECEWISE
+            x0 = params[e, 0]
+            nl = int(params[e, 1])
+            nr = int(params[e, 2 + 5])
+            if xe <= x0:
                 if mode == MODE_VALUE:
-                    out[e] = poly_value(params[e], 1, n, xe)
+                    out[e] = _poly_value(params[e], 2, nl, xe)
                 elif mode == MODE_DERIV:
-                    out[e] = poly_deriv(params[e], 1, n, xe)
+                    out[e] = _poly_deriv(params[e], 2, nl, xe)
                 else:
-                    out[e] = poly_primitive(params[e], 1, n, xe)
-            elif kind == KIND_BPR:
-                t0 = params[e, 0]
-                cap = params[e, 1]
-                alpha = params[e, 2]
-                beta = params[e, 3]
-                ratio = xe / cap
+                    out[e] = _poly_primitive(params[e], 2, nl, xe)
+            else:
                 if mode == MODE_VALUE:
-                    out[e] = t0 * (1.0 + alpha * ratio**beta)
+                    out[e] = _poly_value(params[e], 8, nr, xe)
                 elif mode == MODE_DERIV:
-                    if xe == 0.0 and beta > 1.0:
-                        out[e] = 0.0
-                    else:
-                        out[e] = t0 * alpha * beta * ratio ** (beta - 1.0) / cap
+                    out[e] = _poly_deriv(params[e], 8, nr, xe)
                 else:
-                    out[e] = t0 * xe + t0 * alpha * cap / (beta + 1.0) * ratio ** (
-                        beta + 1.0
+                    out[e] = (
+                        _poly_primitive(params[e], 2, nl, x0)
+                        + _poly_primitive(params[e], 8, nr, xe)
+                        - _poly_primitive(params[e], 8, nr, x0)
                     )
-            else:  # KIND_PIECEWISE
-                x0 = params[e, 0]
-                nl = int(params[e, 1])
-                nr = int(params[e, 2 + 5])
-                if xe <= x0:
-                    if mode == MODE_VALUE:
-                        out[e] = poly_value(params[e], 2, nl, xe)
-                    elif mode == MODE_DERIV:
-                        out[e] = poly_deriv(params[e], 2, nl, xe)
-                    else:
-                        out[e] = poly_primitive(params[e], 2, nl, xe)
-                else:
-                    if mode == MODE_VALUE:
-                        out[e] = poly_value(params[e], 8, nr, xe)
-                    elif mode == MODE_DERIV:
-                        out[e] = poly_deriv(params[e], 8, nr, xe)
-                    else:
-                        out[e] = (
-                            poly_primitive(params[e], 2, nl, x0)
-                            + poly_primitive(params[e], 8, nr, xe)
-                            - poly_primitive(params[e], 8, nr, x0)
-                        )
-        return out
-
-    if jit:
-        eval_batch = njit(cache=True)(eval_batch)
-    return eval_batch
-
-
-eval_batch_numpy = _make_eval(False)
-eval_batch_numba = _make_eval(True) if HAVE_NUMBA else None
-eval_batch = eval_batch_numba if USE_NUMBA else eval_batch_numpy
+    return out
 
 
 class CostTable:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import AffineCost, CostFunction, ExtendedCost
+from .costs import AffineCost, CostFunction
 
 
 class ModelError(ValueError):
@@ -289,8 +289,8 @@ class LinearDemand:
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
         object.__setattr__(self, "rates", tuple(r))
-        if np.any(r < 0):
-            raise DemandError(f"linear demand rates must be nonnegative: {r}")
+        if not np.all(np.isfinite(r) & (r >= 0)):
+            raise DemandError(f"linear demand rates must be finite and nonnegative: {r}")
         if self.t_min < 0:
             raise DemandError("linear demand domain must lie in t >= 0")
 
@@ -322,6 +322,8 @@ class AffineDemand:
         z = np.asarray(self.intercept, dtype=float)
         if w.shape != z.shape:
             raise DemandError("slope and intercept dimensions differ")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(z))):
+            raise DemandError(f"affine demand must be finite: slope {w}, intercept {z}")
         object.__setattr__(self, "slope", tuple(w))
         object.__setattr__(self, "intercept", tuple(z))
         for t in (self.t_min, min(self.t_max, 1e12)):
@@ -354,6 +356,8 @@ class PiecewiseAffineDemand:
         vals = np.asarray(self.values, dtype=float)
         if ts.ndim != 1 or len(ts) < 2:
             raise DemandError("piecewise demand needs at least two knots")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vals))):
+            raise DemandError("piecewise demand knots and values must be finite")
         if np.any(np.diff(ts) <= 0):
             raise DemandError("piecewise demand knots must be strictly increasing")
         if vals.shape[0] != len(ts):

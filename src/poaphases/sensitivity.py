@@ -88,7 +88,7 @@ def theta_qp(net, commodities, x_bar, regime, rates,
     """
     if prep is None:
         inc = build_incidence(net, commodities)
-        table = build_cost_table(net.costs, opts.sigma)
+        table = build_cost_table(net.costs)
     else:
         inc, table = prep.inc, prep.table
     x_bar = np.asarray(x_bar, dtype=float)

@@ -193,3 +193,53 @@ def test_breakpoints_tiny_tol_t_ends(fisk_path, tol_t, code):
     else:
         (rep,) = json.loads(proc.stdout)
         assert abs(rep["t"] - 11.0) < 1e-3
+
+
+def _mutated_pigou(tmp_path, key, value):
+    path = tmp_path / "pigou.json"
+    assert main(["examples", "pigou", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    if key == "cost":
+        doc["edges"][1]["cost"] = value
+    else:
+        doc["demand"]["rates"] = value
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity as JSON tokens
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("cost", {"type": "affine", "a": -1.0, "b": 0.0}),
+    ("cost", {"type": "affine", "a": "x", "b": 0.0}),
+    ("cost", {"type": "affine", "a": float("nan"), "b": 0.0}),
+    ("cost", {"type": "affine", "a": float("inf"), "b": 0.0}),
+    ("cost", {"type": "poly", "coeffs": [0.0, float("nan")]}),
+    ("cost", {"type": "bpr", "t0": 1.0, "cap": 0.0, "alpha": 0.15, "beta": 4.0}),
+    # C^1, but decreasing for x > 31.
+    ("cost", {"type": "piecewise", "x0": 1.0, "left": [1.0, 1.0],
+              "right": [0.9998, 1.0003, 0.0, -1e-4]}),
+    ("rates", [float("nan")]),
+    ("rates", [1.0, 1.0]),
+], ids=["affine-negative", "affine-string", "affine-nan", "affine-inf", "poly-nan",
+        "bpr-zero-cap", "piecewise-decreasing", "rates-nan", "rates-length"])
+def test_bad_instance_exit_1(tmp_path, capsys, key, value):
+    path = _mutated_pigou(tmp_path, key, value)
+    capsys.readouterr()
+    assert main(["solve", path, "--t", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t", "inf"],
+    ["solve", "--t", "nan"],
+    ["sweep", "--t0", "0", "--t1", "inf", "--n", "3"],
+    ["sweep", "--t0", "nan", "--t1", "1", "--n", "3"],
+    ["fixed-regime", "--t", "inf"],
+])
+def test_non_finite_demand_parameter_exit_1(fisk_path, capsys, argv):
+    assert main([argv[0], fisk_path, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: need a finite --")
+    assert err.count("\n") == 1

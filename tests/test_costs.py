@@ -9,7 +9,6 @@ from poaphases.costs import (
     CostError,
     PiecewiseC1Cost,
     PolynomialCost,
-    extend_negative,
     fenchel_conjugate_affine,
     marginal,
 )
@@ -41,8 +40,6 @@ def test_primitive_examples():
     # 1 + x^2 integrates to x + x^3/3.
     c2 = PolynomialCost((1.0, 0.0, 1.0))
     assert c2.primitive(1.0) == pytest.approx(4.0 / 3.0)
-    ext = extend_negative(AffineCost(1.0, 0.0), 1.0)
-    assert ext.primitive(-2.0) == pytest.approx(2.0)  # x^2/2 continues evenly
 
 
 @pytest.mark.parametrize("cost", FAMILIES)
@@ -122,19 +119,6 @@ def test_fenchel_conjugate_requires_positive_slope():
         fenchel_conjugate_affine(AffineCost(0.0, 1.0), 2.0)
 
 
-def test_extend_negative():
-    ext = extend_negative(AffineCost(0.0, 1.0), 1.0)
-    assert ext.value(-3.0) == pytest.approx(-2.0)
-    # Zero slope at the origin falls back to the configured sigma.
-    c2 = PolynomialCost((1.0, 0.0, 1.0))
-    ext2 = extend_negative(c2, 0.1)
-    assert ext2.value(-1.0) == pytest.approx(0.9)
-    for x in np.linspace(0.0, 4.0, 9):
-        assert ext2.value(x) == c2.value(x)
-    # Eventually negative far to the left.
-    assert ext2.value(-1e4) < 0
-
-
 def test_piecewise_validation():
     with pytest.raises(CostError):
         PiecewiseC1Cost(1.0, (0.0,), (5.0,))  # value jump at the junction
@@ -142,6 +126,19 @@ def test_piecewise_validation():
         PiecewiseC1Cost(1.0, (0.0, 1.0), (1.0, 2.0))  # derivative jump
     with pytest.raises(CostError):
         PiecewiseC1Cost(1.0, (2.0, -2.0), (0.0,))  # decreasing on the left
+    # Monotonicity is checked exactly on each piece.  C^1 at 1 and increasing
+    # up to x = 31, but the cubic term wins beyond any finite sample range:
+    # c(200) = -598.94.
+    with pytest.raises(CostError, match=r"nondecreasing on \[1.0, inf\]"):
+        PiecewiseC1Cost(1.0, (1.0, 1.0), (0.9998, 1.0003, 0.0, -1e-4))
+    # A dip inside the left piece, whose slope is 2 at both ends.
+    with pytest.raises(CostError, match=r"nondecreasing on \[0.0, 2.0\]"):
+        PiecewiseC1Cost(2.0, (0.0, 2.0, -3.0, 1.0), (-4.0, 2.0))
+    # Slopes that touch zero inside a piece are accepted: c'(x) = 3 (x - 1/2)^2
+    # on the left, and (x - 1)^2 + 3/4 on the right.
+    c = PiecewiseC1Cost(1.0, (0.875, 0.75, -1.5, 1.0),
+                        (1.125 - 1.75 + 1.0 - 1.0 / 3.0, 1.75, -1.0, 1.0 / 3.0))
+    assert c.derivative(0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_constructor_validation():
@@ -153,6 +150,19 @@ def test_constructor_validation():
         BPRCost(0.0, 1.0, 1.0, 4.0)
     with pytest.raises(CostError):
         BPRCost(1.0, 1.0, 1.0, 0.5)
+    # NaN passes every sign check, so each family checks finiteness first.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for build in (
+            lambda v: AffineCost(v, 0.0),
+            lambda v: AffineCost(1.0, v),
+            lambda v: PolynomialCost((1.0, v)),
+            lambda v: BPRCost(1.0, v, 0.15, 4.0),
+            lambda v: BPRCost(1.0, 1.0, 0.15, v),
+            lambda v: PiecewiseC1Cost(v, (0.0, 1.0), (0.0, 1.0)),
+            lambda v: PiecewiseC1Cost(1.0, (0.0, 1.0), (0.0, v)),
+        ):
+            with pytest.raises(CostError, match="finite"):
+                build(bad)
 
 
 def test_negative_argument_rejected_without_extension():

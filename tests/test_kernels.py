@@ -3,6 +3,7 @@ import pytest
 
 from poaphases import kernels
 from poaphases.costs import (
+    DEFAULT_EXTENSION_SLOPE,
     AffineCost,
     BPRCost,
     PiecewiseC1Cost,
@@ -23,12 +24,7 @@ COSTS = [
 
 @pytest.fixture(scope="module")
 def table():
-    return build_cost_table(COSTS, 1e-2)
-
-
-def _xs():
-    rng = np.random.default_rng(7)
-    return rng.uniform(-2.0, 6.0, size=(16, len(COSTS)))
+    return build_cost_table(COSTS)
 
 
 @pytest.mark.parametrize("mode", [kernels.MODE_VALUE, kernels.MODE_DERIV, kernels.MODE_PRIMITIVE])
@@ -38,7 +34,7 @@ def test_numpy_matches_scalar_costs(table, mode):
     for _ in range(8):
         x = rng.uniform(0.0, 6.0, size=len(COSTS))
         out = np.empty_like(x)
-        kernels.eval_batch_numpy(
+        kernels.eval_batch(
             table.kinds, table.params, table.ext_slope, table.value_at_zero, x, mode, out
         )
         for i, c in enumerate(COSTS):
@@ -50,23 +46,13 @@ def test_numpy_matches_scalar_costs(table, mode):
             assert out[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.skipif(kernels.eval_batch_numba is None, reason="numba unavailable")
-@pytest.mark.parametrize("mode", [kernels.MODE_VALUE, kernels.MODE_DERIV, kernels.MODE_PRIMITIVE])
-def test_numba_matches_numpy(table, mode):
-    for x in _xs():
-        a = np.empty_like(x)
-        b = np.empty_like(x)
-        kernels.eval_batch_numba(
-            table.kinds, table.params, table.ext_slope, table.value_at_zero, x, mode, a
-        )
-        kernels.eval_batch_numpy(
-            table.kinds, table.params, table.ext_slope, table.value_at_zero, x, mode, b
-        )
-        np.testing.assert_allclose(a, b, rtol=0, atol=0)
-
-
 def test_negative_extension_is_linear(table):
-    # For x < 0 the value continues linearly and the derivative is constant.
+    # For x < 0 the value continues linearly from c(0), and the derivative is
+    # the constant max(c'(0), DEFAULT_EXTENSION_SLOPE).
+    slopes = [max(c.derivative(0.0), DEFAULT_EXTENSION_SLOPE) for c in COSTS]
+    np.testing.assert_array_equal(table.ext_slope, slopes)
+    assert table.ext_slope[1] == DEFAULT_EXTENSION_SLOPE  # flat AffineCost(0, 1)
+    assert table.ext_slope[0] == 1.0
     x = np.full(len(COSTS), -1.5)
     vals = table.values(x)
     derivs = table.derivs(x)
@@ -91,17 +77,3 @@ def test_potential_slope(table):
     h = 1e-7
     fd = (table.potential(x + h * dx) - table.potential(x - h * dx)) / (2 * h)
     assert table.potential_slope(x, dx) == pytest.approx(fd, rel=1e-5, abs=1e-5)
-
-
-def test_env_flag_selects_fallback(monkeypatch):
-    # The dispatch decision is made at import time from the environment.
-    import importlib
-
-    monkeypatch.setenv("POAPHASES_NUMBA", "0")
-    mod = importlib.reload(kernels)
-    try:
-        assert mod.USE_NUMBA is False
-        assert mod.eval_batch is mod.eval_batch_numpy
-    finally:
-        monkeypatch.delenv("POAPHASES_NUMBA")
-        importlib.reload(kernels)

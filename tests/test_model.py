@@ -195,6 +195,17 @@ def test_demand_validation():
         AffineDemand((1.0,), (-2.0,))  # negative at t = 0
     with pytest.raises(ModelError):
         PiecewiseAffineDemand((0.0, 0.0), ((1.0,), (1.0,)))
+    # NaN passes the sign checks, so each curve checks finiteness first.
+    for bad in (float("nan"), float("inf")):
+        for build in (
+            lambda v: LinearDemand((1.0, v)),
+            lambda v: AffineDemand((v,), (1.0,)),
+            lambda v: AffineDemand((1.0,), (v,)),
+            lambda v: PiecewiseAffineDemand((0.0, v), ((1.0,), (1.0,))),
+            lambda v: PiecewiseAffineDemand((0.0, 1.0), ((1.0,), (v,))),
+        ):
+            with pytest.raises(ModelError, match="finite"):
+                build(bad)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4),
